@@ -1,6 +1,8 @@
 # agsim build/test/bench entry points.
 #
-#   make check         — the tier-1 gate: build, vet, full test suite
+#   make check         — the tier-1 gate: build, vet, gofmt, full test suite
+#   make fmt           — fail when gofmt would reformat any file of the
+#                        module's packages
 #   make race          — race-detector lane over the concurrency-bearing packages
 #   make bench         — microbenchmarks with -benchmem, JSON'd to BENCH_<date>.json
 #                        (five passes: micro step lanes, 64-node fleet lanes,
@@ -49,7 +51,7 @@
 
 GO          ?= go
 DATE        := $(shell date +%Y%m%d)
-BENCHES     ?= BenchmarkChipStep|BenchmarkSweep(Serial|Parallel)|BenchmarkDatacenterSweep(Serial|SerialExact)?$$|BenchmarkDatacenterSweepParallel$$|BenchmarkBatchSweep
+BENCHES     ?= BenchmarkChipStep|BenchmarkSweep(Serial|Parallel)|BenchmarkDatacenterSweep(Serial|SerialExact)?$$|BenchmarkDatacenterSweepParallel$$|BenchmarkBatchSweep|BenchmarkSnapshotFullRings$$
 PROFILE_EXP ?= fig7
 PROFILE_FLAGS ?= -quick -mesh
 SMOKE_EXP   ?= fig3
@@ -59,7 +61,7 @@ SMOKE_HTTP_PORT    ?= 7208
 DIST_SMOKE_PORT    ?= 7209
 DIST_SMOKE_UNITS   ?= fig3,fig16
 
-.PHONY: all build vet test check race bench bench-compare profile smoke dist-smoke ci
+.PHONY: all build vet fmt test check race bench bench-compare profile smoke dist-smoke ci
 
 all: check
 
@@ -72,7 +74,13 @@ vet:
 test:
 	$(GO) test ./...
 
-check: build vet test
+# gofmt over each package directory's own files (not recursive, so the
+# benchmark's .bench_build/ tree and nested modules stay out of it).
+fmt:
+	@out=$$(gofmt -l $$($(GO) list -f '{{.Dir}}/*.go' ./...)); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
+
+check: build vet fmt test
 
 # The experiments package takes ~10 min under the detector on the 1-CPU
 # reference box (the identity matrices are detector-rate-limited, not

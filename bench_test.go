@@ -281,6 +281,35 @@ func TestChipStepRecordedZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkSnapshotFullRings is the telemetry read path's rung: one
+// obs.Snapshot of the observe-workload shape — eight node shards, each
+// with a DefaultEventCap event ring wrapped once and a power series — the
+// merge every /health, /timeseries and /metrics request pays. The events
+// arrive in per-shard time order interleaved across shards, so the
+// k-way merge switches run at almost every record; B/op is dominated by
+// the one allocation of the merged event slice.
+func BenchmarkSnapshotFullRings(b *testing.B) {
+	rec := obs.New("fleet", obs.DefaultEventCap)
+	rec.EnableTimeSeries(tsdb.DefaultSpec())
+	for s := 0; s < 8; s++ {
+		sh := rec.Shard(fmt.Sprintf("node%d", s))
+		src := sh.Source("chip")
+		ts := sh.Series(src, "power_w")
+		for i := 0; i < obs.DefaultEventCap*3/2; i++ {
+			tus := int64(i)*1000 + int64(s%3)
+			sh.Emit(obs.Event{TimeUS: tus, Kind: obs.KindWindow, Source: src, Core: -1})
+			if i%32 == 0 {
+				ts.Push(tus, float64(i%100))
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = rec.Snapshot()
+	}
+}
+
 // BenchmarkChipStepMesh is BenchmarkChipStep on the mesh-fidelity lane:
 // the distributed-grid PDN solved through the precomputed
 // transfer-resistance matrix. The kernel's contract is 0 allocs/op and

@@ -16,7 +16,7 @@ import (
 
 // testAPI builds an API over a hand-populated recorder: two sources, a
 // power series on each, a droop storm on chip0, and a manifest.
-func testAPI(t *testing.T) (*API, *obs.Recorder) {
+func testAPI(t testing.TB) (*API, *obs.Recorder) {
 	t.Helper()
 	rec := obs.New("t", 256)
 	rec.EnableTimeSeries(tsdb.DefaultSpec())

@@ -23,15 +23,28 @@
 // unit (a sweep point, a cluster node) takes its own child shard via
 // Shard(name); Snapshot merges shards by sorted shard name and stable
 // event-time order, so the merged view is bit-identical at any worker
-// count and independent of goroutine scheduling. Shard and Source are
-// mutex-protected (workers create shards concurrently); the per-shard hot
-// paths (Inc, Add, SetGauge, Observe, Emit) are deliberately unlocked and
-// rely on the one-goroutine-per-shard ownership the sweep engine already
-// guarantees for the chips themselves.
+// count and independent of goroutine scheduling.
+//
+// Snapshot builds the event log as a stable k-way merge of the shard
+// rings, each read oldest first as one run, in collect order (parent
+// before children, children by name). The earliest TimeUS goes first and
+// a tie goes to the run collected earlier, which is exactly the order a
+// stable sort of the concatenated rings gives. It costs O(n log k) for n
+// events in k rings and one allocation of the event slice. A ring that is
+// not already in time order (an emitter stamped a record ahead, as
+// KindLeap stamps the leap's end) is copied and stably sorted on its own
+// first.
+//
+// Shard and Source are mutex-protected (workers create shards
+// concurrently); the per-shard hot paths (Inc, Add, SetGauge, Observe,
+// Emit) are deliberately unlocked and rely on the one-goroutine-per-shard
+// ownership the sweep engine already guarantees for the chips themselves.
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -331,13 +344,13 @@ type ShardStats struct {
 // histograms summed across shards. Two runs of the same work produce
 // DeepEqual Logs regardless of worker count.
 type Log struct {
-	Name      string
-	Sources   []SourceMetrics
-	Hists     [NumHists]HistSnapshot
-	Events    []Event // Source re-indexed into Sources
+	Name       string
+	Sources    []SourceMetrics
+	Hists      [NumHists]HistSnapshot
+	Events     []Event // Source re-indexed into Sources
 	EventsLost uint64
-	Series    []SeriesDump
-	Shards    []ShardStats
+	Series     []SeriesDump
+	Shards     []ShardStats
 }
 
 // Snapshot merges the recorder and all its shards into a Log. It must not
@@ -354,16 +367,23 @@ func (r *Recorder) Snapshot() Log {
 		return log
 	}
 	log.Name = r.name
-	r.collect(&log, "")
-	sort.SliceStable(log.Events, func(i, j int) bool {
-		return log.Events[i].TimeUS < log.Events[j].TimeUS
-	})
+	var runs []eventRun
+	r.collect(&log, &runs, "")
+	total := 0
+	for _, run := range runs {
+		total += len(run.evs) + len(run.rest)
+	}
+	if total > 0 {
+		log.Events = make([]Event, total)
+		mergeRuns(log.Events, runs)
+	}
 	return log
 }
 
 // collect folds one recorder (then its children, sorted by name) into the
-// log under the given source-name prefix.
-func (r *Recorder) collect(log *Log, prefix string) {
+// log under the given source-name prefix, and appends its event ring to
+// runs in chronological order.
+func (r *Recorder) collect(log *Log, runs *[]eventRun, prefix string) {
 	r.mu.Lock()
 	children := append([]*Recorder(nil), r.children...)
 	r.mu.Unlock()
@@ -410,28 +430,141 @@ func (r *Recorder) collect(log *Log, prefix string) {
 		log.Series = append(log.Series, dump)
 	}
 	// Ring in chronological order: the wrap point splits oldest from newest.
-	emit := func(ev Event) {
-		if ev.Source >= 0 {
-			ev.Source += base // re-index into the merged source list
-		}
-		log.Events = append(log.Events, ev)
-	}
 	if r.lost > 0 {
-		for _, ev := range r.events[r.next:] {
-			emit(ev)
-		}
-		for _, ev := range r.events[:r.next] {
-			emit(ev)
-		}
+		*runs = appendRun(*runs, r.events[r.next:], r.events[:r.next], base)
 	} else {
-		for _, ev := range r.events {
-			emit(ev)
-		}
+		*runs = appendRun(*runs, r.events, nil, base)
 	}
 	for _, c := range children {
-		p := prefix + c.name + "/"
-		c.collect(log, p)
+		c.collect(log, runs, prefix+c.name+"/")
 	}
+}
+
+// eventRun is one shard's ring in time order, read as evs then rest (the
+// ring's two sides of its wrap point). base is the shard's first index in
+// the merged source list.
+type eventRun struct {
+	evs, rest []Event
+	base      int32
+}
+
+// appendRun adds a ring, read as older then newer, to runs as one
+// time-ordered run. A ring already in order (the common case: emitters
+// stamp as they step) is referenced in place; one that is not — an emitter
+// stamped an event ahead of its successors, as KindLeap stamps the leap's
+// end — is copied and stably sorted on its own.
+func appendRun(runs []eventRun, older, newer []Event, base int32) []eventRun {
+	if len(older) == 0 { // an empty ring; a wrapped one keeps older non-empty
+		return runs
+	}
+	if !timeOrdered(older) || !timeOrdered(newer) ||
+		len(newer) > 0 && newer[0].TimeUS < older[len(older)-1].TimeUS {
+		older = append(slices.Clone(older), newer...)
+		newer = nil
+		slices.SortStableFunc(older, func(a, b Event) int { return cmp.Compare(a.TimeUS, b.TimeUS) })
+	}
+	return append(runs, eventRun{evs: older, rest: newer, base: base})
+}
+
+// timeOrdered reports whether evs is sorted by TimeUS.
+func timeOrdered(evs []Event) bool {
+	for i := 1; i < len(evs); i++ {
+		if evs[i].TimeUS < evs[i-1].TimeUS {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeRuns stably k-way merges time-ordered runs into dst, which holds
+// exactly their total length, re-indexing each event's Source. Ties on
+// TimeUS go to the run appended first, so the result is exactly what a
+// stable sort of the runs' concatenation gives, in O(n log k) with no
+// allocation beyond the k-entry heap.
+func mergeRuns(dst []Event, runs []eventRun) {
+	h := make(runHeap, len(runs))
+	for i := range runs {
+		h[i] = runHead{t: runs[i].evs[0].TimeUS, run: i}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+	for len(h) > 1 {
+		// Drain the top run for as long as it stays ahead of every other
+		// head: the runner-up is the lesser of the root's children.
+		next := h[1]
+		if len(h) > 2 && h[2].less(next) {
+			next = h[2]
+		}
+		top := h[0].run
+		run := &runs[top]
+		n := 1
+		for n < len(run.evs) && (runHead{t: run.evs[n].TimeUS, run: top}).less(next) {
+			n++
+		}
+		dst = copyRebased(dst, run.evs[:n], run.base)
+		run.evs = run.evs[n:]
+		if len(run.evs) == 0 {
+			run.evs, run.rest = run.rest, nil
+		}
+		if len(run.evs) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		} else {
+			h[0].t = run.evs[0].TimeUS
+		}
+		h.siftDown(0)
+	}
+	if len(h) == 1 {
+		run := &runs[h[0].run]
+		copyRebased(copyRebased(dst, run.evs, run.base), run.rest, run.base)
+	}
+}
+
+// runHead is a run's next timestamp, keyed for the merge heap.
+type runHead struct {
+	t   int64
+	run int
+}
+
+// less orders heads by time, then by run index (the stable tie rule).
+func (a runHead) less(b runHead) bool {
+	return a.t < b.t || a.t == b.t && a.run < b.run
+}
+
+// runHeap is a binary min-heap of run heads.
+type runHeap []runHead
+
+// siftDown restores the heap property below h[i].
+func (h runHeap) siftDown(i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l].less(h[m]) {
+			m = l
+		}
+		if rc := 2*i + 2; rc < len(h) && h[rc].less(h[m]) {
+			m = rc
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// copyRebased copies evs to the front of dst, shifting each Source by base
+// into the merged source list, and returns the rest of dst.
+func copyRebased(dst, evs []Event, base int32) []Event {
+	n := copy(dst, evs)
+	if base != 0 {
+		for i := range dst[:n] {
+			if dst[i].Source >= 0 {
+				dst[i].Source += base
+			}
+		}
+	}
+	return dst[n:]
 }
 
 // trimSlash drops the trailing separator a shard prefix carries.

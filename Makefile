@@ -41,8 +41,10 @@
 #                        (graceful shutdown writes a final snapshot) and
 #                        `agsim replay` the newest image to the next
 #                        cpm-window event
-#   make ci            — everything CI runs: check + race + smoke +
-#                        dist-smoke + bench + bench-compare (bench-compare
+#   make fuzz-smoke    — run each native fuzz target for FUZZ_TIME (default
+#                        10s), one target per go test call
+#   make ci            — everything CI runs: check + race + fuzz-smoke +
+#                        smoke + dist-smoke + bench + bench-compare (bench-compare
 #                        gates ns/op regressions, the recorder's
 #                        overhead/alloc budget, the warm-start speedup
 #                        floor and the snapshot-size ceiling)
@@ -60,8 +62,13 @@ SMOKE_AMESTER_PORT ?= 7207
 SMOKE_HTTP_PORT    ?= 7208
 DIST_SMOKE_PORT    ?= 7209
 DIST_SMOKE_UNITS   ?= fig3,fig16
+FUZZ_TIME          ?= 10s
+# Every native fuzz target, as package:Target.
+FUZZ_TARGETS       ?= ./internal/pdn:FuzzMeshSolve ./internal/qos:FuzzRunWindow \
+	./internal/obs:FuzzSnapshotEventOrder ./internal/amester:FuzzAPITimeseriesQuery \
+	./internal/snapshot:FuzzLoad
 
-.PHONY: all build vet fmt test check race bench bench-compare profile smoke dist-smoke ci
+.PHONY: all build vet fmt test check race fuzz-smoke bench bench-compare profile smoke dist-smoke ci
 
 all: check
 
@@ -88,6 +95,16 @@ check: build vet fmt test
 race:
 	$(GO) test -race -timeout 30m ./internal/parallel ./internal/cluster ./internal/experiments \
 		./internal/fleet ./internal/traffic
+
+# go test accepts one -fuzz target per call. New inputs are minimized for
+# at most a second so a find cannot eat the whole budget; a failing input
+# is written under the package's testdata/fuzz/ for replay.
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz-smoke: $$fn ($$pkg) for $(FUZZ_TIME)"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s; \
+	done
 
 bench:
 	./scripts/bench.sh '$(BENCHES)' BENCH_$(DATE).json
@@ -171,4 +188,4 @@ dist-smoke:
 	grep -q 'cpm-window #1' $(SMOKE_DIR)/replay.out; \
 	echo "dist-smoke: replayed $$snap to the next cpm-window event"
 
-ci: check race smoke dist-smoke bench bench-compare
+ci: check race fuzz-smoke smoke dist-smoke bench bench-compare

@@ -501,7 +501,7 @@ func (bt *Batch) StepRange(lo, hi int, dtSec float64) {
 		adaptive := mode == firmware.Undervolt || mode == firmware.Overclock
 		aging := units.Millivolt(bt.agingMV[b])
 		timeEnd := bt.timeSec[b] + dtSec
-		cpmLaw := bt.cfg.CPM.Law
+		cpmLaw := &bt.cfg.CPM.Law
 		for i := range st {
 			v := railV - drp[i]
 			if v < 1 {
@@ -549,10 +549,9 @@ func (bt *Batch) StepRange(lo, hi int, dtSec float64) {
 				smin := bt.cpmStickyMin[sb:se]
 				hst := bt.cpmHasSticky[sb:se]
 				lcpm := bt.lastCPM[sb:se]
-				marginBase := float64(cpmLaw.MarginMV(agedMin, f)) - float64(cpmLaw.ResidualMV)
-				fScale := float64(f) / float64(cpmLaw.FNom)
+				rd := cpm.ReadFor(cpmLaw, agedMin, f)
 				for j := range dead {
-					raw := cpmRawAt(dead[j], marginBase, poff[j], noff[j], mvb[j], fScale)
+					raw := cpm.RawAt(rd, dead[j], poff[j], noff[j], mvb[j])
 					if !hst[j] || raw < smin[j] {
 						smin[j] = raw
 						hst[j] = true
@@ -561,9 +560,9 @@ func (bt *Batch) StepRange(lo, hi int, dtSec float64) {
 				}
 				if droopLatches {
 					droopV := agedMin + units.Millivolt(sample.TypicalMV-sample.WorstEventMV)
-					marginDroop := float64(cpmLaw.MarginMV(droopV, f)) - float64(cpmLaw.ResidualMV)
+					rd = cpm.ReadFor(cpmLaw, droopV, f)
 					for j := range dead {
-						raw := cpmRawAt(dead[j], marginDroop, poff[j], noff[j], mvb[j], fScale) // sticky latch only
+						raw := cpm.RawAt(rd, dead[j], poff[j], noff[j], mvb[j]) // sticky latch only
 						if !hst[j] || raw < smin[j] {
 							smin[j] = raw
 							hst[j] = true
@@ -713,7 +712,7 @@ func didtProfileAt(co *Core, issueThrottle float64) didt.Profile {
 		if th.Done() {
 			continue
 		}
-		d := th.Desc
+		d := &th.Desc
 		if d.DidtTypicalMV > p.TypicalMV {
 			p.TypicalMV = d.DidtTypicalMV
 		}
@@ -782,64 +781,6 @@ func slewTowardAt(law *vf.Law, f units.Megahertz, maxSlew float64, target units.
 	}
 }
 
-// cpmRawAt mirrors cpm.Sensor.Value minus the sticky-minimum update, which
-// the caller applies on its own windowed slices. The law-dependent terms
-// (margin at the sensed voltage, frequency scale on the bit weight) arrive
-// precomputed per core, so the innermost per-sensor call moves only
-// scalars — no Law copies. The held window noise is a gathered constant
-// between ticks, so no stream is consumed.
-func cpmRawAt(dead bool, marginBaseMV, pathOffset, noiseOffset, mvPerBitNom, fScale float64) int {
-	if dead {
-		return 0
-	}
-	marginMV := marginBaseMV + pathOffset
-	marginMV += noiseOffset
-	mvPerBit := math.Max(mvPerBitNom*fScale, 5)
-	raw := cpm.CalibTarget + int(math.Round(marginMV/mvPerBit))
-	if raw < 0 {
-		raw = 0
-	}
-	if raw > cpm.MaxValue {
-		raw = cpm.MaxValue
-	}
-	return raw
-}
-
-// cpmMVPerBit mirrors cpm.Sensor.MVPerBit; sensors use the CPM config's law.
-func (bt *Batch) cpmMVPerBit(s int, f units.Megahertz) float64 {
-	scale := float64(f) / float64(bt.cfg.CPM.Law.FNom)
-	v := bt.cpmMVPerBitNom[s] * scale
-	return math.Max(v, 5)
-}
-
-// cpmValue mirrors cpm.Sensor.Value on the arrays; the held window noise is
-// a gathered constant between ticks, so no stream is consumed here.
-func (bt *Batch) cpmValue(s int, v units.Millivolt, f units.Megahertz) int {
-	if bt.cpmDead[s] {
-		bt.observeSticky(s, 0)
-		return 0
-	}
-	law := bt.cfg.CPM.Law
-	marginMV := float64(law.MarginMV(v, f)) - float64(law.ResidualMV) + bt.cpmPathOffset[s]
-	marginMV += bt.cpmNoiseOffset[s]
-	raw := cpm.CalibTarget + int(math.Round(marginMV/bt.cpmMVPerBit(s, f)))
-	if raw < 0 {
-		raw = 0
-	}
-	if raw > cpm.MaxValue {
-		raw = cpm.MaxValue
-	}
-	bt.observeSticky(s, raw)
-	return raw
-}
-
-func (bt *Batch) observeSticky(s, v int) {
-	if !bt.cpmHasSticky[s] || v < bt.cpmStickyMin[s] {
-		bt.cpmStickyMin[s] = v
-		bt.cpmHasSticky[s] = true
-	}
-}
-
 // senseCurrent mirrors vrm.Rail.SenseCurrent on the arrays.
 func (bt *Batch) senseCurrent(b int) units.Ampere {
 	if bt.railStuck[b] {
@@ -883,7 +824,7 @@ func (bt *Batch) firmwareTick(b int) {
 			}
 			if v := bt.lastCPM[s]; v < reading.MinCPM {
 				reading.MinCPM = v
-				reading.MVPerBit = bt.cpmMVPerBit(s, f)
+				reading.MVPerBit = cpm.MVPerBitAt(bt.cpmMVPerBitNom[s], float64(f)/float64(bt.cfg.CPM.Law.FNom))
 			}
 			if bt.cpmHasSticky[s] && bt.cpmStickyMin[s] < reading.MinStickyCPM {
 				reading.MinStickyCPM = bt.cpmStickyMin[s]

@@ -67,6 +67,7 @@ func (c *Chip) Step(dtSec float64) {
 
 	mode := c.ctrl.Mode()
 	adaptive := mode == firmware.Undervolt || mode == firmware.Overclock
+	cpmLaw := &c.cfg.CPM.Law
 	for i, co := range c.cores {
 		co.voltageDC = railV - drops[i]
 		if co.voltageDC < 1 {
@@ -108,16 +109,19 @@ func (c *Chip) Step(dtSec float64) {
 
 		// 5. CPM observation at the bottom of the ripple; an uncovered
 		// worst-case event is additionally latched by the sticky
-		// mechanism.
+		// mechanism. The law terms of a read are the same for every
+		// sensor on the core, so they are computed once per core.
 		if co.state != power.Gated {
 			f := co.dpll.Freq()
+			rd := cpm.ReadFor(cpmLaw, agedMin, f)
 			for j, s := range co.cpms {
-				co.lastCPM[j] = s.Value(agedMin, f)
+				co.lastCPM[j] = s.ReadAt(rd)
 			}
 			if droopLatches {
 				droopV := agedMin + units.Millivolt(sample.TypicalMV-sample.WorstEventMV)
+				rd = cpm.ReadFor(cpmLaw, droopV, f)
 				for _, s := range co.cpms {
-					s.Value(droopV, f) // sticky latch only
+					s.ReadAt(rd) // sticky latch only
 				}
 			}
 		}
@@ -226,7 +230,7 @@ func (co *Core) didtProfile() didt.Profile {
 		if th.Done() {
 			continue
 		}
-		d := th.Desc
+		d := &th.Desc
 		if d.DidtTypicalMV > p.TypicalMV {
 			p.TypicalMV = d.DidtTypicalMV
 		}

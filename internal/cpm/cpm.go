@@ -155,32 +155,77 @@ func (s *Sensor) CalibSource() *rng.Source { return s.calib }
 // position scales with cycle time pressure: faster clocks leave fewer
 // millivolts per position.
 func (s *Sensor) MVPerBit(f units.Megahertz) float64 {
-	scale := float64(f) / float64(s.law.FNom)
-	v := s.mvPerBitNom * scale
-	// Sensitivity cannot collapse below a physical floor.
-	return math.Max(v, 5)
+	return MVPerBitAt(s.mvPerBitNom, float64(f)/float64(s.law.FNom))
 }
 
-// Value returns the CPM output for on-chip voltage v at frequency f.
-// The mapping is the affine law Fig. 6a measures: the calibration target
-// position corresponds to the residual margin above the circuit's V_req,
-// and each additional MVPerBit of slack moves the edge one position.
-func (s *Sensor) Value(v units.Millivolt, f units.Megahertz) int {
-	if s.dead {
-		s.observeSticky(0)
+// MVPerBitAt returns the sensitivity of a sensor with nominal sensitivity
+// mvPerBitNom at frequency scale fScale (f / FNom), floored at 5 mV/bit:
+// sensitivity cannot collapse below a physical floor. The floor is a
+// compare, not math.Max (a non-inlined call on amd64); against a finite
+// constant the two agree bit for bit, NaN and ±0 included.
+func MVPerBitAt(mvPerBitNom, fScale float64) float64 {
+	v := mvPerBitNom * fScale
+	if v < 5 {
+		v = 5
+	}
+	return v
+}
+
+// Read holds the terms of a CPM read that depend only on the sensed
+// voltage and frequency. Every sensor on a core shares them, so a caller
+// reading all of a core's sensors computes them once per core.
+type Read struct {
+	// MarginMV is the law's timing margin at (v, f) less the residual
+	// margin the calibration target position stands for.
+	MarginMV float64
+	// FScale is f / FNom, the frequency scale on each sensor's bit weight.
+	FScale float64
+}
+
+// ReadFor returns the shared terms of a read at on-chip voltage v and
+// frequency f under law (the sensors' own law, Config.Law).
+func ReadFor(law *vf.Law, v units.Millivolt, f units.Megahertz) Read {
+	return Read{
+		MarginMV: float64(law.MarginMV(v, f)) - float64(law.ResidualMV),
+		FScale:   float64(f) / float64(law.FNom),
+	}
+}
+
+// RawAt is the one implementation of a CPM read: the output of a sensor
+// with the given calibration (path offset, held window noise, nominal
+// sensitivity) at the shared terms r. The mapping is the affine law
+// Fig. 6a measures: the calibration target position corresponds to the
+// residual margin above the circuit's V_req, and each additional bit weight
+// of slack moves the edge one position. It updates no sticky latch; the
+// batched engine calls it on its mirrored calibration arrays.
+func RawAt(r Read, dead bool, pathOffsetMV, noiseOffsetMV, mvPerBitNom float64) int {
+	if dead {
 		return 0
 	}
-	marginMV := float64(s.law.MarginMV(v, f)) - float64(s.law.ResidualMV) + s.pathOffsetMV
-	marginMV += s.noiseOffsetMV
-	raw := CalibTarget + int(math.Round(marginMV/s.MVPerBit(f)))
+	marginMV := r.MarginMV + pathOffsetMV
+	marginMV += noiseOffsetMV
+	raw := CalibTarget + int(math.Round(marginMV/MVPerBitAt(mvPerBitNom, r.FScale)))
 	if raw < 0 {
 		raw = 0
 	}
 	if raw > MaxValue {
 		raw = MaxValue
 	}
+	return raw
+}
+
+// ReadAt returns the sensor's output at the shared terms r (from ReadFor
+// with the sensor's law) and folds it into the sticky latch.
+func (s *Sensor) ReadAt(r Read) int {
+	raw := RawAt(r, s.dead, s.pathOffsetMV, s.noiseOffsetMV, s.mvPerBitNom)
 	s.observeSticky(raw)
 	return raw
+}
+
+// Value returns the CPM output for on-chip voltage v at frequency f; a
+// dead sensor reads 0.
+func (s *Sensor) Value(v units.Millivolt, f units.Megahertz) int {
+	return s.ReadAt(ReadFor(&s.law, v, f))
 }
 
 // DetMarginMV returns the deterministic component of a read at voltage v
@@ -189,7 +234,7 @@ func (s *Sensor) Value(v units.Millivolt, f units.Megahertz) int {
 // electricals don't move between windows, so only the per-window noise
 // redraw changes what a read returns.
 func (s *Sensor) DetMarginMV(v units.Millivolt, f units.Megahertz) float64 {
-	return float64(s.law.MarginMV(v, f)) - float64(s.law.ResidualMV) + s.pathOffsetMV
+	return ReadFor(&s.law, v, f).MarginMV + s.pathOffsetMV
 }
 
 func (s *Sensor) observeSticky(v int) {
@@ -228,7 +273,7 @@ func (s *Sensor) ClearSticky() {
 // BatchState exposes the calibration and window state the batched stepping
 // engine gathers into its structure-of-arrays mirror: the nominal
 // sensitivity, path offset, held noise realization, dead flag, and sticky
-// latch. The engine replicates Value's arithmetic on these exactly.
+// latch. The engine reads its mirror through RawAt, as Value does.
 func (s *Sensor) BatchState() (mvPerBitNom, pathOffsetMV, noiseOffsetMV float64, dead bool, stickyMin int, hasSticky bool) {
 	return s.mvPerBitNom, s.pathOffsetMV, s.noiseOffsetMV, s.dead, s.stickyMin, s.hasSticky
 }

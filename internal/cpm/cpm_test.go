@@ -185,3 +185,96 @@ func TestNewPanics(t *testing.T) {
 		New(cfg, rng.New(1, "x"))
 	}()
 }
+
+// refValue is Value's arithmetic as a single expression chain, with the
+// 5 mV/bit floor through math.Max: the form the hoisted read replaced.
+func refValue(law vf.Law, dead bool, mvPerBitNom, pathOffsetMV, noiseOffsetMV float64, v units.Millivolt, f units.Megahertz) int {
+	if dead {
+		return 0
+	}
+	marginMV := float64(law.MarginMV(v, f)) - float64(law.ResidualMV) + pathOffsetMV
+	marginMV += noiseOffsetMV
+	mvPerBit := math.Max(mvPerBitNom*(float64(f)/float64(law.FNom)), 5)
+	raw := CalibTarget + int(math.Round(marginMV/mvPerBit))
+	if raw < 0 {
+		raw = 0
+	}
+	if raw > MaxValue {
+		raw = MaxValue
+	}
+	return raw
+}
+
+// TestReadAtMatchesValue pins the hoisted read (ReadFor once per (v, f),
+// then ReadAt or RawAt per sensor) to Value bit for bit, and both to the
+// pre-hoisting arithmetic, over a (v, f) grid that reaches the 5 mV/bit
+// floor and both clamps, on live and dead sensors, with the sticky latches
+// of twin sensors compared after every read.
+func TestReadAtMatchesValue(t *testing.T) {
+	cfg := DefaultConfig(vf.Default())
+	law := cfg.Law // a separate copy, as the chip hoists its own config's law
+	var floor, clampLo, clampHi, mid int
+	for seed := uint64(1); seed <= 4; seed++ {
+		byValue := New(cfg, rng.New(seed, "cpm-read"))
+		byRead := New(cfg, rng.New(seed, "cpm-read"))
+		for pass, dead := range []bool{false, true} {
+			if dead {
+				byValue.Kill()
+				byRead.Kill()
+			}
+			reads := 0
+			for f := units.Megahertz(100); f <= 4620; f += 151 {
+				for v := units.Millivolt(500); v <= 2100; v += 7 {
+					nom, poff, noff, _, _, _ := byRead.BatchState()
+					if nom*float64(f)/float64(law.FNom) < 5 {
+						floor++
+					}
+					want := refValue(law, dead, nom, poff, noff, v, f)
+					rd := ReadFor(&law, v, f)
+					gotRaw := RawAt(rd, dead, poff, noff, nom)
+					gotRead := byRead.ReadAt(rd)
+					gotValue := byValue.Value(v, f)
+					if gotValue != want || gotRead != want || gotRaw != want {
+						t.Fatalf("seed %d pass %d v=%v f=%v: Value %d, ReadAt %d, RawAt %d, reference %d",
+							seed, pass, v, f, gotValue, gotRead, gotRaw, want)
+					}
+					switch want {
+					case 0:
+						clampLo++
+					case MaxValue:
+						clampHi++
+					default:
+						mid++
+					}
+					sv, okv := byValue.Sticky()
+					sr, okr := byRead.Sticky()
+					if sv != sr || okv != okr {
+						t.Fatalf("seed %d v=%v f=%v: sticky (%d,%v) via Value, (%d,%v) via ReadAt", seed, v, f, sv, okv, sr, okr)
+					}
+					// Close a window every so often: both twins redraw the
+					// same held noise from their own streams.
+					if reads++; reads%97 == 0 {
+						byValue.StickyReset()
+						byRead.StickyReset()
+					}
+				}
+			}
+		}
+	}
+	if floor == 0 || clampLo == 0 || clampHi == 0 || mid == 0 {
+		t.Fatalf("grid misses a regime: floor %d, clamp-0 %d, clamp-%d %d, in-range %d", floor, clampLo, MaxValue, clampHi, mid)
+	}
+}
+
+// TestMVPerBitFloorMatchesMax pins the compare-based floor to math.Max
+// bit for bit, including NaN, the signed zeros and the infinities.
+func TestMVPerBitFloorMatchesMax(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1),
+		-7, 4.999999999, 5, math.Nextafter(5, 6), 21, 1e300} {
+		got := MVPerBitAt(x, 1)
+		want := math.Max(x, 5)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("MVPerBitAt(%v, 1) = %v (%#x), math.Max gives %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}

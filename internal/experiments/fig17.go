@@ -125,6 +125,7 @@ func Fig17AdaptiveMapping(o Options) Fig17Result {
 		return charac{violationRate: tr.ViolationRate(), hist: tr.P90History(), coMIPS: coMIPS}
 	})
 
+	coremark := workload.MustGet("coremark")
 	candidates := make([]core.Candidate, 0, len(coRunners))
 	violations := map[string]float64{}
 	p90Means := map[string]float64{}
@@ -140,7 +141,7 @@ func Fig17AdaptiveMapping(o Options) Fig17Result {
 		candidates = append(candidates, core.Candidate{
 			Name:         cr.name,
 			MIPS:         units.MIPS(ch.coMIPS / float64(windows)),
-			BandwidthGBs: workload.MustGet("coremark").BandwidthGBs(units.MIPS(ch.coMIPS / float64(windows))),
+			BandwidthGBs: coremark.BandwidthGBs(units.MIPS(ch.coMIPS / float64(windows))),
 		})
 	}
 	res.ViolationLight = violations["light"]

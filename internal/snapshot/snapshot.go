@@ -30,6 +30,7 @@ import (
 	"encoding"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"sort"
 	"unsafe"
@@ -363,6 +364,32 @@ func (d *decoder) fail(format string, args ...any) {
 
 func (d *decoder) bad() bool { return d.err != nil || d.r.err != nil }
 
+// seqLen decodes a slice or map length prefix (0 encodes nil, m encodes
+// m-1 elements) and rejects a count above limit before anything is
+// allocated. The CRC does not vouch for a prefix: a crafted image can carry
+// a correct CRC.
+func (d *decoder) seqLen(limit uint64) (n int, isNil bool) {
+	m := d.r.u64()
+	if d.bad() || m == 0 {
+		return 0, true
+	}
+	c := m - 1
+	switch {
+	case c > math.MaxInt:
+		d.r.fail("length %d overflows int", c)
+	case c > limit:
+		d.r.fail("length %d exceeds its bound %d", c, limit)
+	}
+	return int(c), false
+}
+
+// remaining is the bound on a count of elements that occupy memory: each
+// writes at least one byte (runtime-only funcs, channels and locks write
+// none, but state graphs hold those only as single fields), so a longer
+// count is corrupt. It bounds every allocation by a small multiple of the
+// image size.
+func (d *decoder) remaining() uint64 { return uint64(len(d.r.buf) - d.r.off) }
+
 // value decodes into an addressable target, reusing its allocations where
 // shapes allow and preserving pointer identity via the decode-side table.
 func (d *decoder) value(v reflect.Value) {
@@ -389,15 +416,19 @@ func (d *decoder) value(v reflect.Value) {
 	case reflect.String:
 		v.SetString(d.r.str())
 	case reflect.Slice:
-		m := d.r.u64()
+		// Zero-size elements write and cost nothing, however many.
+		limit := uint64(math.MaxInt)
+		if t.Elem().Size() != 0 {
+			limit = d.remaining()
+		}
+		n, isNil := d.seqLen(limit)
 		if d.bad() {
 			return
 		}
-		if m == 0 {
+		if isNil {
 			v.Set(reflect.Zero(t))
 			return
 		}
-		n := int(m - 1)
 		if v.IsNil() || v.Cap() < n {
 			v.Set(reflect.MakeSlice(t, n, n))
 		} else if v.Len() != n {
@@ -415,6 +446,9 @@ func (d *decoder) value(v reflect.Value) {
 		case reflect.Float64:
 			d.r.f64s(unsafe.Slice((*float64)(unsafe.Pointer(v.Pointer())), n))
 			return
+		}
+		if t.Elem().Size() == 0 {
+			return // nothing to decode
 		}
 		for i := 0; i < n && !d.bad(); i++ {
 			d.value(v.Index(i))
@@ -435,15 +469,20 @@ func (d *decoder) value(v reflect.Value) {
 			d.value(v.Index(i))
 		}
 	case reflect.Map:
-		m := d.r.u64()
+		// Zero-size entries write nothing, but their keys are all equal,
+		// so such a map holds at most one.
+		limit := uint64(1)
+		if t.Key().Size()+t.Elem().Size() != 0 {
+			limit = d.remaining()
+		}
+		n, isNil := d.seqLen(limit)
 		if d.bad() {
 			return
 		}
-		if m == 0 {
+		if isNil {
 			v.Set(reflect.Zero(t))
 			return
 		}
-		n := int(m - 1)
 		nm := reflect.MakeMapWithSize(t, n)
 		for i := 0; i < n && !d.bad(); i++ {
 			k := reflect.New(t.Key()).Elem()
@@ -571,19 +610,25 @@ func Save(root any, meta Meta) ([]byte, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
+	return frame(rv.Type().String(), meta, e.w.buf), nil
+}
+
+// frame wraps an encoded payload in the versioned, CRC-checked header that
+// readHeader consumes.
+func frame(rootType string, meta Meta, payload []byte) []byte {
 	var h writer
 	h.buf = append(h.buf, magic...)
 	h.u8(arena.FormatVersion)
 	h.u8(codecVersion)
-	h.str(rv.Type().String())
+	h.str(rootType)
 	h.str(meta.ShapeKey)
 	h.u64(meta.Seed)
 	h.str(meta.Revision)
 	h.str(meta.Extra)
 	h.f64(meta.TimeSec)
-	h.bytes(e.w.buf)
-	h.u64(uint64(crc32.ChecksumIEEE(e.w.buf)))
-	return h.buf, nil
+	h.bytes(payload)
+	h.u64(uint64(crc32.ChecksumIEEE(payload)))
+	return h.buf
 }
 
 // readHeader consumes the header and returns the meta, the root type

@@ -56,11 +56,7 @@ func (t *Thread) Step(dtSec float64, f units.Megahertz, memFactor, smtThreads fl
 		return 0, true
 	}
 	t.elapsedSec += dtSec
-	d := t.Desc
-	if _, scaleMem := t.phaseScales(); scaleMem != 1 {
-		d.MemNsPerInst *= scaleMem
-	}
-	mips := float64(d.MIPSPerThread(f, memFactor, smtThreads))
+	mips := t.mipsNow(f, memFactor, smtThreads)
 	retired = mips * dtSec / 1000 // MIPS * s = 1e6 inst; /1000 -> GInst
 	if retired >= t.remainingGInst {
 		retired = t.remainingGInst
@@ -72,6 +68,19 @@ func (t *Thread) Step(dtSec float64, f units.Megahertz, memFactor, smtThreads fl
 	t.retiredGInst += retired
 	t.advancePhase(dtSec)
 	return retired, done
+}
+
+// mipsNow returns the thread's throughput under the given conditions with
+// the current phase's memory scale applied. The descriptor is copied only
+// when a phase actually scales it.
+func (t *Thread) mipsNow(f units.Megahertz, memFactor, smtThreads float64) float64 {
+	d := &t.Desc
+	if _, scaleMem := t.phaseScales(); scaleMem != 1 {
+		scaled := *d
+		scaled.MemNsPerInst *= scaleMem
+		d = &scaled
+	}
+	return float64(d.MIPSPerThread(f, memFactor, smtThreads))
 }
 
 // walkPeriodSec is the cadence of the stochastic phase walk. Updates land
@@ -120,11 +129,7 @@ func (t *Thread) TimeToCompletion(f units.Megahertz, memFactor, smtThreads float
 	if t.remainingGInst <= 0 {
 		return math.Inf(1)
 	}
-	d := t.Desc
-	if _, scaleMem := t.phaseScales(); scaleMem != 1 {
-		d.MemNsPerInst *= scaleMem
-	}
-	mips := float64(d.MIPSPerThread(f, memFactor, smtThreads))
+	mips := t.mipsNow(f, memFactor, smtThreads)
 	if mips <= 0 {
 		return math.Inf(1)
 	}

@@ -15,7 +15,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"agsim/internal/units"
@@ -140,7 +139,7 @@ func (d Descriptor) Validate() error {
 // nanoseconds that do not — is what produces the paper's observation that
 // overclocking speeds up compute-bound workloads nearly linearly but
 // memory-bound ones barely at all.
-func (d Descriptor) TimeNsPerInst(f units.Megahertz, memFactor, smtThreads float64) float64 {
+func (d *Descriptor) TimeNsPerInst(f units.Megahertz, memFactor, smtThreads float64) float64 {
 	if f <= 0 {
 		panic(fmt.Sprintf("workload %s: TimeNsPerInst at non-positive frequency %v", d.Name, f))
 	}
@@ -158,19 +157,25 @@ func (d Descriptor) TimeNsPerInst(f units.Megahertz, memFactor, smtThreads float
 // effectiveIPC returns the per-thread IPC when smtThreads share the core.
 // SMT raises total core throughput sub-linearly (the POWER7+ is 4-way SMT);
 // the yield curve is a standard diminishing-returns model.
-func (d Descriptor) effectiveIPC(smtThreads float64) float64 {
+func (d *Descriptor) effectiveIPC(smtThreads float64) float64 {
 	if smtThreads <= 1 {
 		return d.IPC
 	}
 	// Total core IPC grows as 1 + 0.35*(t-1) up to 4 threads, then divides
-	// among the threads.
-	total := d.IPC * (1 + 0.35*(math.Min(smtThreads, 4)-1))
+	// among the threads — all of them, not just the first four. The cap is
+	// a compare rather than math.Min, which is a non-inlined call on amd64;
+	// against a finite constant the two agree bit for bit.
+	capped := smtThreads
+	if capped > 4 {
+		capped = 4
+	}
+	total := d.IPC * (1 + 0.35*(capped-1))
 	return total / smtThreads
 }
 
 // MIPSPerThread returns the throughput of one thread under the given
 // conditions.
-func (d Descriptor) MIPSPerThread(f units.Megahertz, memFactor, smtThreads float64) units.MIPS {
+func (d *Descriptor) MIPSPerThread(f units.Megahertz, memFactor, smtThreads float64) units.MIPS {
 	return units.MIPS(1000 / d.TimeNsPerInst(f, memFactor, smtThreads))
 }
 
@@ -178,27 +183,30 @@ func (d Descriptor) MIPSPerThread(f units.Megahertz, memFactor, smtThreads float
 // pipeline switching (as opposed to stalled on memory) under the given
 // conditions. Dynamic power scales with this, which is how memory-bound
 // workloads end up low-power.
-func (d Descriptor) Utilization(f units.Megahertz, memFactor, smtThreads float64) float64 {
+func (d *Descriptor) Utilization(f units.Megahertz, memFactor, smtThreads float64) float64 {
 	total := d.TimeNsPerInst(f, memFactor, smtThreads)
-	mem := d.MemNsPerInst * math.Max(memFactor, 1)
+	if memFactor < 1 {
+		memFactor = 1 // as TimeNsPerInst clamps it
+	}
+	mem := d.MemNsPerInst * memFactor
 	return (total - mem) / total
 }
 
 // MemBoundFraction is the fraction of time stalled on memory at nominal
 // conditions; it is 1 - Utilization at memFactor 1 and one thread.
-func (d Descriptor) MemBoundFraction(f units.Megahertz) float64 {
+func (d *Descriptor) MemBoundFraction(f units.Megahertz) float64 {
 	return 1 - d.Utilization(f, 1, 1)
 }
 
 // BandwidthGBs returns the off-chip bandwidth demand of a thread running at
 // the given throughput.
-func (d Descriptor) BandwidthGBs(mips units.MIPS) float64 {
+func (d *Descriptor) BandwidthGBs(mips units.MIPS) float64 {
 	return float64(mips) * 1e6 * d.BytesPerInst / 1e9
 }
 
 // ParallelEfficiency returns the per-thread efficiency when n threads
 // cooperate on the same (fixed-size) problem.
-func (d Descriptor) ParallelEfficiency(n int) float64 {
+func (d *Descriptor) ParallelEfficiency(n int) float64 {
 	if n <= 1 {
 		return 1
 	}
@@ -207,7 +215,7 @@ func (d Descriptor) ParallelEfficiency(n int) float64 {
 
 // SpeedupAt returns the whole-program speedup of running the fixed problem
 // with n threads relative to one thread, at equal per-thread throughput.
-func (d Descriptor) SpeedupAt(n int) float64 {
+func (d *Descriptor) SpeedupAt(n int) float64 {
 	return float64(n) * d.ParallelEfficiency(n)
 }
 

@@ -97,10 +97,11 @@ func TestUtilizationAndMemBound(t *testing.T) {
 			t.Errorf("%s: utilization %v + membound %v != 1", d.Name, u, mb)
 		}
 	}
-	if MustGet("mcf").MemBoundFraction(4200) < 0.4 {
+	mcf, coremark := MustGet("mcf"), MustGet("coremark")
+	if mcf.MemBoundFraction(4200) < 0.4 {
 		t.Error("mcf should be strongly memory bound")
 	}
-	if MustGet("coremark").MemBoundFraction(4200) > 0.02 {
+	if coremark.MemBoundFraction(4200) > 0.02 {
 		t.Error("coremark should be core-contained")
 	}
 }
@@ -154,7 +155,8 @@ func TestParallelEfficiency(t *testing.T) {
 		t.Errorf("speedup(8) = %v", s)
 	}
 	// SPECrate copies scale perfectly.
-	if e := MustGet("mcf").ParallelEfficiency(8); e != 1 {
+	mcf := MustGet("mcf")
+	if e := mcf.ParallelEfficiency(8); e != 1 {
 		t.Errorf("SPECrate efficiency = %v, want 1", e)
 	}
 }
@@ -180,8 +182,9 @@ func TestCalibrationOrdering(t *testing.T) {
 			t.Errorf("%s must be bandwidth-heavy (Fig. 14 right edge)", name)
 		}
 	}
-	mcf := MustGet("mcf").MIPSPerThread(4200, 1, 1)
-	cm := MustGet("coremark").MIPSPerThread(4200, 1, 1)
+	mcfD, cmD := MustGet("mcf"), MustGet("coremark")
+	mcf := mcfD.MIPSPerThread(4200, 1, 1)
+	cm := cmD.MIPSPerThread(4200, 1, 1)
 	if float64(cm) < 4*float64(mcf) {
 		t.Error("coremark MIPS must far exceed mcf (Fig. 15)")
 	}
@@ -277,5 +280,32 @@ func TestTimeNsPerInstPanicsOnBadFreq(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MustGet("raytrace").TimeNsPerInst(units.Megahertz(0), 1, 1)
+	d := MustGet("raytrace")
+	d.TimeNsPerInst(units.Megahertz(0), 1, 1)
+}
+
+// TestEffectiveIPCDividesByAllThreads pins the SMT yield cap: core IPC
+// stops growing at 4 threads, but the capped total is still shared by
+// every thread on the core.
+func TestEffectiveIPCDividesByAllThreads(t *testing.T) {
+	for _, d := range All() {
+		want := d.IPC * (1 + 0.35*3) / 8
+		if got := d.effectiveIPC(8); got != want {
+			t.Errorf("%s: effectiveIPC(8) = %v, want IPC*(1+0.35*3)/8 = %v", d.Name, got, want)
+		}
+	}
+}
+
+// TestUtilizationClampsMemFactor pins that a memory factor below 1 (less
+// than uncontended latency) is treated as 1, in both the total time and
+// the memory term of Utilization.
+func TestUtilizationClampsMemFactor(t *testing.T) {
+	for _, d := range All() {
+		want := d.Utilization(4200, 1, 2)
+		for _, mf := range []float64{0.999, 0.5, 0, -1} {
+			if got := d.Utilization(4200, mf, 2); got != want {
+				t.Errorf("%s: Utilization at memFactor %v = %v, want %v (its value at 1)", d.Name, mf, got, want)
+			}
+		}
+	}
 }
